@@ -11,12 +11,13 @@
 //! - `--update`: measure and (over)write the `BENCH_<suite>.json`
 //!   baseline in `--dir` (default: the workspace root, where the
 //!   baselines are committed);
-//! - `--check`: measure, compare against the committed baseline with the
-//!   noise-aware threshold, and exit non-zero on any regression — the CI
-//!   gate. `--inject case:factor` multiplies that case's measured times,
+//! - `--check`: measure on the baseline's recorded thread count,
+//!   compare against the committed baseline with the noise-aware
+//!   threshold, and exit non-zero on any regression — the CI gate.
+//!   `--inject case:factor` multiplies that case's measured times,
 //!   which is how CI proves the gate actually fails on a 2x slowdown.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 use trajsim_bench::guard::{compare, render_compare, run_suite, GuardConfig, SuiteRun, SUITES};
 
@@ -94,11 +95,39 @@ fn parse_cli() -> Cli {
     cli
 }
 
+/// Reads a committed `BENCH_<suite>.json` baseline; exits 2 if it is
+/// missing or malformed.
+fn load_baseline(path: &Path) -> SuiteRun {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!(
+            "bench_guard: no baseline at {} ({e}); run with --update first",
+            path.display()
+        );
+        exit(2);
+    });
+    let doc = serde_json::from_str(&text).unwrap_or_else(|e| {
+        eprintln!("bench_guard: {}: {e}", path.display());
+        exit(2);
+    });
+    SuiteRun::from_json(&doc).unwrap_or_else(|e| {
+        eprintln!("bench_guard: {}: {e}", path.display());
+        exit(2);
+    })
+}
+
 fn main() {
     let cli = parse_cli();
     let mut failed = false;
     for suite in &cli.suites {
-        let run = match run_suite(suite, &cli.cfg) {
+        let path = cli.dir.join(format!("BENCH_{suite}.json"));
+        let base = cli.check.then(|| load_baseline(&path));
+        // A check measures on the baseline's thread count: the parallel
+        // suites' scores depend on it.
+        let threads = base.as_ref().map_or(0, |b| b.fingerprint.threads);
+        trajsim_parallel::set_num_threads(threads);
+        let run = run_suite(suite, &cli.cfg);
+        trajsim_parallel::set_num_threads(0);
+        let run = match run {
             Ok(run) => run,
             Err(e) => {
                 eprintln!("bench_guard: {e}");
@@ -123,29 +152,13 @@ fn main() {
                 c.score
             );
         }
-        let path = cli.dir.join(format!("BENCH_{suite}.json"));
         if cli.update {
             let text = serde_json::to_string_pretty(&run.to_json()).expect("serialize");
             std::fs::write(&path, text + "\n")
                 .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
             println!("  baseline written to {}", path.display());
         }
-        if cli.check {
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!(
-                    "bench_guard: no baseline at {} ({e}); run with --update first",
-                    path.display()
-                );
-                exit(2);
-            });
-            let doc = serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("bench_guard: {}: {e}", path.display());
-                exit(2);
-            });
-            let base = SuiteRun::from_json(&doc).unwrap_or_else(|e| {
-                eprintln!("bench_guard: {}: {e}", path.display());
-                exit(2);
-            });
+        if let Some(base) = base {
             match compare(&base, &run) {
                 Ok(cmps) => {
                     print!("{}", render_compare(&cmps));

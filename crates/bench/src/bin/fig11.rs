@@ -43,6 +43,8 @@ fn main() {
             histogram: HistogramVariant::Grid { delta: 1 },
             qgram_q: 1,
             max_triangle,
+            // The paper's CompHisDist stage: the order sweep credits it.
+            exact_histogram: true,
         };
         let engine = CombinedKnn::with_pmatrix(&data, eps, config, pmatrix.clone());
         let run = run_engine(&engine, &queries, args.k, Some(&expected));

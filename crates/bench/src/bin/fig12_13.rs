@@ -89,6 +89,9 @@ fn main() {
                 histogram,
                 qgram_q: 1,
                 max_triangle,
+                // The paper's CompHisDist stage, so the histogram keeps
+                // its filter credit in the table.
+                exact_histogram: true,
             };
             let combined = CombinedKnn::with_pmatrix(data, eps, config, pmatrix.clone());
             runs.push(run_engine(&combined, &queries, args.k, Some(&expected)));

@@ -154,17 +154,23 @@ struct Case<'a> {
     work: Box<dyn FnMut() -> Option<QueryStats> + 'a>,
 }
 
-fn measure(cases: Vec<Case<'_>>, anchor: &str, suite: &str, cfg: &GuardConfig) -> SuiteRun {
-    let mut results: Vec<CaseResult> = Vec::new();
-    for mut case in cases {
-        let mut runs_s = Vec::with_capacity(cfg.runs);
-        let mut stats: Option<QueryStats> = None;
-        for _ in 0..cfg.runs {
+fn measure(mut cases: Vec<Case<'_>>, anchor: &str, suite: &str, cfg: &GuardConfig) -> SuiteRun {
+    // Round-robin: each round runs every case once, so a drift in host
+    // speed during the suite slows every case alike rather than the ones
+    // that happened to run through it, and the scores (ratios to the
+    // anchor's median) cancel it.
+    let mut runs: Vec<Vec<f64>> = cases.iter().map(|_| Vec::with_capacity(cfg.runs)).collect();
+    let mut all_stats: Vec<Option<QueryStats>> = cases.iter().map(|_| None).collect();
+    for _ in 0..cfg.runs {
+        for (ci, case) in cases.iter_mut().enumerate() {
             let t = Instant::now();
             let s = (case.work)();
-            runs_s.push(t.elapsed().as_secs_f64());
-            stats = s.or(stats);
+            runs[ci].push(t.elapsed().as_secs_f64());
+            all_stats[ci] = s.or(all_stats[ci].take());
         }
+    }
+    let mut results: Vec<CaseResult> = Vec::new();
+    for ((mut case, mut runs_s), stats) in cases.into_iter().zip(runs).zip(all_stats) {
         if let Some((_, factor)) = cfg.inject.iter().find(|(n, _)| *n == case.name) {
             for r in &mut runs_s {
                 *r *= factor;

@@ -132,7 +132,10 @@ impl EngineRun {
 
 /// Runs `engine` on every query, measuring wall clock and pruning power.
 /// When `expected` is given, each query's distance multiset must match it
-/// — the harness's own no-false-dismissal guard rail.
+/// — the harness's own no-false-dismissal guard rail. Queries run on one
+/// thread, as the paper measures them and as the sequential-scan
+/// baseline runs, so speedups compare pruning, not cores; one thread
+/// also fixes the pruning counts from run to run.
 pub fn run_engine<const D: usize, E: KnnEngine<D>>(
     engine: &E,
     queries: &[Trajectory<D>],
@@ -143,7 +146,7 @@ pub fn run_engine<const D: usize, E: KnnEngine<D>>(
     let mut power_sum = 0.0;
     let start = Instant::now();
     for (qi, q) in queries.iter().enumerate() {
-        let r = engine.knn(q, k);
+        let r = trajsim_parallel::run_serial(|| engine.knn(q, k));
         power_sum += r.stats.pruning_power();
         stats.accumulate(&r.stats);
         if let Some(expected) = expected {

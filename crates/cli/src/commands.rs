@@ -337,31 +337,79 @@ impl Telemetry {
 }
 
 /// Dispatches the parsed command line.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     let parsed = Parsed::parse(argv)?;
     let threads: usize = parsed.get_or("threads", 0usize)?;
     trajsim_parallel::set_num_threads(threads);
     let telemetry = Telemetry::from_args(&parsed)?;
     telemetry.install();
     let result = match parsed.positional(0) {
-        Some("generate") => generate(&parsed),
-        Some("convert") => convert(&parsed),
-        Some("stats") => stats(&parsed),
+        Some("generate") => generate(&parsed).map_err(CliError::from),
+        Some("convert") => convert(&parsed).map_err(CliError::from),
+        Some("stats") => stats(&parsed).map_err(CliError::from),
         Some("knn") => knn(&parsed, &telemetry),
         Some("explain") => explain(&parsed, &telemetry),
-        Some("range") => range(&parsed, &telemetry),
-        Some("replay") => replay(&parsed, &telemetry),
-        Some("slow") => slow(&parsed),
-        Some("slo") => slo(&parsed),
-        Some("watch") => watch(&parsed),
-        Some("cluster") => cluster(&parsed),
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
-        None => Err(USAGE.to_string()),
+        Some("range") => range(&parsed, &telemetry).map_err(CliError::from),
+        Some("replay") => replay(&parsed, &telemetry).map_err(CliError::from),
+        Some("slow") => slow(&parsed).map_err(CliError::from),
+        Some("slo") => slo(&parsed).map_err(CliError::from),
+        Some("watch") => watch(&parsed).map_err(CliError::from),
+        Some("cluster") => cluster(&parsed).map_err(CliError::from),
+        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}").into()),
+        None => Err(USAGE.into()),
     };
     // Export whatever was collected even when the command failed — a
     // profile of the work done before the error is still useful.
     let finished = telemetry.finish();
-    result.and(finished)
+    result.and(finished.map_err(CliError::from))
+}
+
+/// A failed command: the message for stderr and the process exit status.
+#[derive(Debug)]
+pub struct CliError {
+    pub message: String,
+    /// [`CliError::USAGE`] for a parameter value the command cannot run
+    /// with, 1 for everything else.
+    pub status: u8,
+}
+
+impl CliError {
+    /// Exit status of a parameter value rejected before any work starts.
+    pub const USAGE: u8 = 2;
+
+    fn usage(message: impl Into<String>) -> CliError {
+        CliError {
+            message: message.into(),
+            status: Self::USAGE,
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> CliError {
+        CliError { message, status: 1 }
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> CliError {
+        message.to_string().into()
+    }
+}
+
+/// Rejects `knn`/`explain` parameters the engines would assert on:
+/// `k = 0`, and ε = 0 for the engines whose histogram filter needs a
+/// positive threshold.
+fn check_search_parameters(k: usize, eps: MatchThreshold, engine: &str) -> Result<(), CliError> {
+    if k == 0 {
+        return Err(CliError::usage("option --k: must be at least 1"));
+    }
+    if eps.value() == 0.0 && matches!(engine, "combined" | "histogram") {
+        return Err(CliError::usage(format!(
+            "option --eps: the {engine} engine's histogram filter needs a positive epsilon"
+        )));
+    }
+    Ok(())
 }
 
 fn load(path: &str) -> Result<Dataset<2>, String> {
@@ -1026,7 +1074,7 @@ fn workload_meta(
     })
 }
 
-fn knn(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
+fn knn(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), CliError> {
     let path = parsed.positional(1).ok_or("knn: missing file")?;
     if let Some(out) = parsed.get("metrics-out") {
         ensure_writable("--metrics-out", out)?;
@@ -1035,6 +1083,7 @@ fn knn(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
     let k: usize = parsed.get_or("k", 10usize)?;
     let eps = pick_eps(parsed, &ds)?;
     let engine_name: String = parsed.get_or("engine", "combined".to_string())?;
+    check_search_parameters(k, eps, &engine_name)?;
     let max_triangle: usize = parsed.get_or("max-triangle", 100usize)?;
     let index = pick_index(parsed)?;
     let engine = build_engine(&ds, eps, &engine_name, max_triangle, index)?;
@@ -1158,7 +1207,7 @@ fn knn(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
 /// N`, optionally in batches of `--batch B` through the shared-work
 /// path) — and prints the per-stage pruning-power report built from the
 /// live query statistics.
-fn explain(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
+fn explain(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), CliError> {
     let path = parsed.positional(1).ok_or("explain: missing file")?;
     if let Some(out) = parsed.get("json") {
         ensure_writable("--json", out)?;
@@ -1167,6 +1216,7 @@ fn explain(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
     let k: usize = parsed.get_or("k", 10usize)?;
     let eps = pick_eps(parsed, &ds)?;
     let engine: String = parsed.get_or("engine", "combined".to_string())?;
+    check_search_parameters(k, eps, &engine)?;
     let max_triangle: usize = parsed.get_or("max-triangle", 100usize)?;
     let index = pick_index(parsed)?;
     let run = build_engine(&ds, eps, &engine, max_triangle, index)?;
@@ -1501,7 +1551,7 @@ mod tests {
     use super::*;
 
     fn run(args: &[&str]) -> Result<(), String> {
-        dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).map_err(|e| e.message)
     }
 
     /// Tests that install or reset the process-global tracing sink hold

@@ -28,8 +28,8 @@ fn main() -> ExitCode {
     match commands::dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(1)
+            eprintln!("error: {}", e.message);
+            ExitCode::from(e.status)
         }
     }
 }

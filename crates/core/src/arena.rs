@@ -113,6 +113,11 @@ impl<const D: usize> TrajectoryArena<D> {
         self.lens.is_empty()
     }
 
+    /// Total number of points over all stored trajectories.
+    pub fn total_points(&self) -> usize {
+        self.coords.len() / D
+    }
+
     /// Length (number of points) of trajectory `id`.
     pub fn len_of(&self, id: usize) -> usize {
         self.lens[id]

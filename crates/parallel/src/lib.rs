@@ -14,6 +14,11 @@
 //! With one thread (or one item) everything degrades to the serial loop,
 //! so callers can use these primitives unconditionally.
 //!
+//! Calls made from inside a pool worker run serially on that worker:
+//! a k-NN query that parallelizes its own scan can itself be mapped over
+//! in parallel without spawning `threads²` threads. [`run_serial`] gives
+//! callers the same behaviour on demand.
+//!
 //! Every genuinely parallel pool run feeds the `trajsim-obs` global
 //! metrics registry — `parallel.pool_runs`, `parallel.tasks`, summed
 //! `parallel.worker_busy_ns` / `parallel.worker_idle_ns`, and a
@@ -33,6 +38,33 @@ use std::time::Instant;
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread is a pool worker (or inside [`run_serial`]):
+    /// parallel calls it makes take their serial fallback.
+    static SERIAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// True on a pool worker or inside [`run_serial`].
+fn nested() -> bool {
+    SERIAL.with(|s| s.get())
+}
+
+/// Runs `f` with every parallel call it makes on the calling thread:
+/// inside, [`num_threads`] is 1 and `par_*` take their serial fallback.
+/// Pool workers run their tasks this way, so nested parallel calls never
+/// oversubscribe the cores; tests use it to pin work to one thread
+/// without touching the process-wide override.
+pub fn run_serial<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SERIAL.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SERIAL.with(|s| s.replace(true)));
+    f()
+}
 
 /// Forces the number of worker threads used by this crate; `0` restores
 /// automatic selection.
@@ -65,8 +97,12 @@ impl ThreadSource {
 
 /// The number of worker threads parallel calls will use:
 /// [`set_num_threads`] override, else `TRAJSIM_THREADS`, else
-/// `available_parallelism` (at least 1).
+/// `available_parallelism` (at least 1) — and 1 on a pool worker or
+/// inside [`run_serial`].
 pub fn num_threads() -> usize {
+    if nested() {
+        return 1;
+    }
     num_threads_with_source().0
 }
 
@@ -203,6 +239,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    SERIAL.with(|s| s.set(true));
                     let t_worker = Instant::now();
                     let mut scratch = init();
                     let mut out = Vec::new();
@@ -264,7 +301,9 @@ where
 /// records the pool metrics (`parallel.pool_runs`, `parallel.tasks`,
 /// `parallel.worker_busy_ns`/`idle_ns`, `parallel.worker_tasks`), with
 /// busy equal to wall — callers report shared-scan worker accounting
-/// unconditionally, whatever the machine's core count.
+/// unconditionally, whatever the machine's core count. A nested call
+/// (from a pool worker) records nothing: its time is the enclosing
+/// worker's busy time.
 ///
 /// # Panics
 ///
@@ -283,9 +322,12 @@ where
         let t_pool = Instant::now();
         let mut scratch = init();
         let out: Vec<R> = (0..chunks).map(|c| f(&mut scratch, range_of(c))).collect();
-        let wall = elapsed_ns(t_pool);
-        record_worker(wall, chunks as u64);
-        record_pool(chunks, 1, wall, wall, &[chunks as u64]);
+        // A nested call's time is already the enclosing worker's busy time.
+        if !nested() {
+            let wall = elapsed_ns(t_pool);
+            record_worker(wall, chunks as u64);
+            record_pool(chunks, 1, wall, wall, &[chunks as u64]);
+        }
         return out;
     }
 
@@ -296,6 +338,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    SERIAL.with(|s| s.set(true));
                     let t_worker = Instant::now();
                     let mut scratch = init();
                     let mut out = Vec::new();
@@ -380,6 +423,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    SERIAL.with(|s| s.set(true));
                     let t_worker = Instant::now();
                     let mut done = 0u64;
                     loop {
@@ -582,6 +626,52 @@ mod tests {
         });
         assert_eq!(got.len(), 64);
         assert_eq!(got[2], 1 + 2 + 3);
+    }
+
+    #[test]
+    fn nested_calls_run_serially_on_the_worker() {
+        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(2);
+        let _guard = ResetThreads;
+        let outer: Vec<u64> = (0..8).collect();
+        let got = par_map(&outer, |_, &x| {
+            let me = std::thread::current().id();
+            assert_eq!(num_threads(), 1, "a worker sees one thread");
+            let inner: Vec<u64> = (0..50).collect();
+            let threads = par_map(&inner, |_, _| std::thread::current().id());
+            let chunk_threads = par_chunks(50, 7, || (), |(), _| std::thread::current().id());
+            let hits = AtomicUsize::new(0);
+            par_for(50, |_| {
+                assert_eq!(std::thread::current().id(), me);
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(threads.iter().chain(&chunk_threads).all(|&t| t == me));
+            let sums: u64 = par_map(&inner, |_, &y| x * y).iter().sum();
+            (sums, hits.load(Ordering::Relaxed))
+        });
+        let want: Vec<(u64, usize)> = outer
+            .iter()
+            .map(|&x| ((0..50).map(|y| x * y).sum(), 50))
+            .collect();
+        assert_eq!(got, want);
+        // The worker flag does not leak to the calling thread.
+        assert_eq!(num_threads(), 2);
+    }
+
+    #[test]
+    fn run_serial_pins_calls_to_the_calling_thread() {
+        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(4);
+        let _guard = ResetThreads;
+        let me = std::thread::current().id();
+        let items: Vec<u64> = (0..200).collect();
+        let got = run_serial(|| {
+            assert_eq!(num_threads(), 1);
+            par_map(&items, |_, &x| (std::thread::current().id(), x + 1))
+        });
+        assert!(got.iter().all(|&(t, _)| t == me));
+        assert_eq!(got[199].1, 200);
+        assert_eq!(num_threads(), 4, "the pin ends with the closure");
     }
 
     /// Serializes the tests that touch the global thread override.

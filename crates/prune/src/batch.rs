@@ -57,15 +57,16 @@ pub(crate) fn amortize(total: u64, parts: usize, idx: usize) -> u64 {
 }
 
 /// Merges per-chunk partial top-k lists of one query into its final
-/// neighbor list: ascending `(dist, id)`, truncated to `k`. Equal to the
-/// serial result because serial tie-breaking is insertion order, which is
-/// ascending id.
+/// neighbor list: ascending `(dist, id)`, an id listed by several
+/// partials kept once, truncated to `k`. Equal to the serial result
+/// because serial tie-breaking is insertion order, which is ascending id.
 pub(crate) fn merge_partials<I>(k: usize, partials: I) -> Vec<Neighbor>
 where
     I: IntoIterator<Item = Vec<Neighbor>>,
 {
     let mut merged: Vec<Neighbor> = partials.into_iter().flatten().collect();
     merged.sort_by_key(|nb| (nb.dist, nb.id));
+    merged.dedup();
     merged.truncate(k);
     merged
 }

@@ -4,13 +4,13 @@ use crate::batch::{amortize, finish_batch, merge_partials, next_batch_id};
 use crate::candidates::{Candidate, CandidateBatch, CandidateSource};
 use crate::histogram_knn::HistogramVariant;
 use crate::result::{
-    elapsed_ns, finalize_query, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, ResultSet,
+    elapsed_ns, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, ResultSet, StageStats,
 };
 use std::sync::Mutex;
 use std::time::Instant;
 use trajsim_art::{ArtScratch, HistCandidate, HistogramArtIndex, QgramArtIndex, QuerySignature};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory, TrajectoryArena};
-use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext};
+use trajsim_distance::{BatchContext, EdrWorkspace, QueryContext};
 use trajsim_histogram::{
     histogram_distance, histogram_distance_quick, histogram_distance_quick_blurred,
     BlurredHistogram, TrajectoryHistogram,
@@ -105,18 +105,27 @@ pub struct CombinedConfig {
     pub qgram_q: usize,
     /// Reference-pool size for near-triangle pruning (the paper uses 400).
     pub max_triangle: usize,
+    /// Runs the exact max-flow histogram distance (`CompHisDist`, §4.3)
+    /// as the histogram filter's per-candidate stage. Off by default:
+    /// the linear quick bound already orders and prunes the scan, and
+    /// the exact bound costs about as much as an early-abandoned refine
+    /// while pruning well under 1% more on walk data. The Figure 11–13
+    /// harnesses switch it on so the paper's filter credit shows.
+    pub exact_histogram: bool,
 }
 
 impl Default for CombinedConfig {
     /// The paper's best setting: histogram first (1-d histograms — the
     /// overall winner of Figures 12–13), then merge-join q-grams of size
-    /// 1, then near-triangle with 400 references.
+    /// 1, then near-triangle with 400 references; the histogram stage is
+    /// the quick bound alone.
     fn default() -> Self {
         CombinedConfig {
             order: PruneOrder::HQN,
             histogram: HistogramVariant::PerDimension,
             qgram_q: 1,
             max_triangle: 400,
+            exact_histogram: false,
         }
     }
 }
@@ -153,8 +162,8 @@ impl<const D: usize> Blurs<D> {
 
 /// The prebuilt adaptive-radix signature indexes of one engine
 /// ([`CombinedKnn::with_index`]): histogram bins and q-gram means share
-/// a probe scratch (mutexed so the engine stays `Sync`; probes are
-/// serial in both the per-query and the batched path).
+/// a probe scratch (mutexed so the engine stays `Sync`; a batch's walks
+/// take turns probing).
 #[derive(Debug)]
 struct ArtIndexes<const D: usize> {
     hist: HistogramArtIndex<D>,
@@ -239,8 +248,14 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     /// Builds all three filter structures for `dataset`. The reference
     /// `pmatrix` rows are computed in parallel (one task per reference;
     /// thread count per `trajsim-parallel`; one pre-grown EDR workspace
-    /// per worker, reused across its rows).
+    /// per worker, reused across its rows) over the same columnar arena
+    /// the engine then keeps for its refines.
+    ///
+    /// # Panics
+    ///
+    /// As [`CombinedKnn::with_pmatrix`].
     pub fn build(dataset: &'a Dataset<D>, eps: MatchThreshold, config: CombinedConfig) -> Self {
+        check_parameters(eps, &config);
         let pool = config.max_triangle.min(dataset.len());
         let arena = TrajectoryArena::from_dataset(dataset);
         let ids: Vec<usize> = (0..pool).collect();
@@ -254,7 +269,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                     .collect()
             },
         );
-        Self::with_pmatrix(dataset, eps, config, pmatrix)
+        Self::assemble(dataset, arena, eps, config, pmatrix)
     }
 
     /// Builds with an externally computed reference `pmatrix` (see
@@ -270,11 +285,25 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         config: CombinedConfig,
         pmatrix: Vec<Vec<usize>>,
     ) -> Self {
-        assert!(config.qgram_q > 0, "q-gram size must be positive");
-        assert!(
-            eps.value() > 0.0,
-            "histogram pruning needs a positive epsilon"
-        );
+        check_parameters(eps, &config);
+        Self::assemble(
+            dataset,
+            TrajectoryArena::from_dataset(dataset),
+            eps,
+            config,
+            pmatrix,
+        )
+    }
+
+    /// Builds the histogram and q-gram structures around a packed arena
+    /// and a reference `pmatrix`.
+    fn assemble(
+        dataset: &'a Dataset<D>,
+        arena: TrajectoryArena<D>,
+        eps: MatchThreshold,
+        config: CombinedConfig,
+        pmatrix: Vec<Vec<usize>>,
+    ) -> Self {
         let pool = config.max_triangle.min(dataset.len());
         assert_eq!(
             pmatrix.len(),
@@ -308,7 +337,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
             .collect();
         CombinedKnn {
             dataset,
-            arena: TrajectoryArena::from_dataset(dataset),
+            arena,
             eps,
             config,
             hists,
@@ -456,450 +485,512 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         }
     }
 
-    /// The shared-work batched combined scan behind
-    /// [`KnnEngine::knn_batch`] — one dataset traversal feeds N queries.
+    /// The one k-NN cascade, behind both [`KnnEngine::knn`] (a batch of
+    /// one) and [`KnnEngine::knn_batch`]. `batched` stamps the results
+    /// with a batch id and records the batch metrics. Scans smaller than
+    /// [`POOL_MIN_CELLS`] run every phase on the calling thread.
     ///
     /// Phases:
     ///
-    /// 1. **Setup** (serial): per-query histogram embeddings and their
-    ///    blurred (neighbourhood-sum) forms, sorted q-gram means, and SoA
-    ///    `QueryContext`s in a [`BatchContext`].
-    /// 2. **Quick-bound matrix** (parallel over candidate chunks): each
-    ///    candidate's histogram signature is loaded — and its blur built
-    ///    — once per batch, then evaluated against every query with the
-    ///    merge-based [`histogram_distance_quick_blurred`], filling a
-    ///    candidate-major `n × N` table of the linear quick bound. This
-    ///    is the batch-amortized histogram filter: the per-signature
-    ///    share of the quick bound is computed once instead of once per
-    ///    query.
-    /// 3. **Prefix scan** (parallel over queries, per-worker
-    ///    [`EdrWorkspace`]): each query visits its `max(4k, 32)`
-    ///    quick-smallest candidates in the HSR order the per-query
-    ///    engine uses — full refines until the top-k fills, then the
-    ///    configured filter cascade with early-abandoning refines — so
-    ///    its best-k bound is near-final before the shared scan. A
-    ///    break-out inside the prefix (quick bound above the current
-    ///    k-th best) settles the query outright: every unvisited
-    ///    candidate's quick bound is at least as large, and the k-th
-    ///    best only ever tightens.
-    /// 4. **Chunk scan** (parallel over candidate chunks, per-worker
-    ///    [`EdrWorkspace`]): per candidate, the signature refs (arena
-    ///    block, sorted q-gram means, length, pmatrix column index) are
-    ///    loaded once; the inner loop over the still-open queries prunes
-    ///    with the quick table, then the configured filter order, and
-    ///    refines survivors with early-abandoning EDR under
-    ///    `min(shared, local)` bounds. Triangle references start from
-    ///    the prefix scan's pool and grow chunk-locally — sound but
-    ///    possibly weaker than the per-query engine's pool, which shifts
-    ///    prune *credit* between filters, never the answer.
-    /// 5. **Merge**: per query, the prefix and chunk partial top-k lists
-    ///    merge by `(dist, id)`.
+    /// 1. **Setup** (serial): per-query histogram embeddings, sorted
+    ///    q-gram means, and SoA `QueryContext`s in a [`BatchContext`].
+    /// 2. **Lower bounds.** Without an index, a candidate-major `n × nq`
+    ///    table of the linear quick histogram bound, filled in parallel
+    ///    over candidate chunks. With more than one query each
+    ///    candidate's blurred (neighbourhood-sum) signature is built once
+    ///    and evaluated against every query with the merge-based
+    ///    [`histogram_distance_quick_blurred`]; a single query uses the
+    ///    plain quick bound, which needs no blur. With an index nothing
+    ///    dense is built: each query probes the tries in phase 3.
+    /// 3. **Per-query walk** (parallel over queries, per-worker
+    ///    [`EdrWorkspace`]), in ascending lower-bound (HSR) order: full
+    ///    refines until the top-k fills, then the configured filter order
+    ///    ([`Self::cascade`]) and early-abandoning refines under the k-th
+    ///    best. A lower bound above the k-th best settles the query: every
+    ///    unvisited candidate's bound is at least as large.
+    ///    - Without an index the walk covers the `max(4k, 32)`
+    ///      quick-smallest candidates (the *prefix*), so its k-th best is
+    ///      near-final before the chunk scan.
+    ///    - With an index the walk covers the probe's [`CandidateBatch`]:
+    ///      touched ids in lower-bound order, where ids the probe proved
+    ///      `exact` are offered without a refine, then the untouched ids
+    ///      by length, whose EDR is exactly `max(query len, length)`. No
+    ///      untouched id is refined, and the walk always settles its query.
+    /// 4. **Chunk scan** (parallel over candidate chunks, only when some
+    ///    query is still open), in id order — or, for a single query, in
+    ///    the walk's HSR order, so its bound tightens as in a serial HSR
+    ///    scan: per candidate the signature refs are loaded once; the inner loop over the open queries prunes with
+    ///    the quick table, then the filter cascade, and refines survivors
+    ///    under `min(shared, chunk-local)` k-th-best bounds. A chunk's
+    ///    top-k starts as a copy of the walk's; the shared bound starts at
+    ///    the walk's k-th best and tightens across workers. Triangle references start from the walk's pool and
+    ///    grow chunk-locally. On more than one thread the shared bound
+    ///    tightens in a timing-dependent order, so pruning counts (never
+    ///    answers) can vary between runs; on one thread they are fixed.
+    /// 5. **Merge**: per query, the walk's and the chunks' partial top-k
+    ///    lists merge by `(dist, id)`, dropping the copies of the walk's
+    ///    entries.
     ///
-    /// Every filter is a sound lower bound and early abandoning only
-    /// drops candidates that provably cannot enter the top-k, so the
-    /// returned distances are identical to per-query [`KnnEngine::knn`]'s
-    /// (ids may permute among equal distances); per-filter credit and
-    /// `dp_cells` may legitimately differ.
-    fn knn_batch_scan(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult> {
-        let t_batch = Instant::now();
+    /// Every filter is a sound lower bound that prunes only above the k-th
+    /// best, early abandoning only drops candidates that provably cannot
+    /// enter the top-k, and every top-k ranks ties by id — so the result
+    /// is the `k` smallest `(dist, id)` pairs, the serial sequential
+    /// scan's neighbours exactly, whatever the visit order, index or
+    /// thread count.
+    fn scan(&self, queries: &[Trajectory<D>], k: usize, batched: bool) -> Vec<KnnResult> {
+        let query_points: usize = queries.iter().map(Trajectory::len).sum();
+        let full_scan_cells =
+            (self.arena.total_points() as u64).saturating_mul(query_points as u64);
+        if full_scan_cells < POOL_MIN_CELLS {
+            // Spawning the pool would cost more than the scan it splits.
+            return trajsim_parallel::run_serial(|| self.scan_phases(queries, k, batched));
+        }
+        self.scan_phases(queries, k, batched)
+    }
+
+    /// [`Self::scan`]'s phases, on the threads `trajsim-parallel` gives.
+    fn scan_phases(&self, queries: &[Trajectory<D>], k: usize, batched: bool) -> Vec<KnnResult> {
+        let t_start = Instant::now();
         let nq = queries.len();
         let n = self.dataset.len();
-        let qhs: Vec<QueryHists<D>> = queries.iter().map(|q| self.query_hists(q)).collect();
-        let q_blurs: Vec<Blurs<D>> = qhs.iter().map(Blurs::of_query).collect();
-        let q_means: Vec<SortedMeans<D>> = queries
+        let inputs: Vec<QueryInput<D>> = queries
             .iter()
-            .map(|q| SortedMeans::build(q, self.config.qgram_q))
+            .map(|q| QueryInput {
+                hists: self.query_hists(q),
+                means: SortedMeans::build(q, self.config.qgram_q),
+            })
             .collect();
         let batch = BatchContext::new(queries, self.eps);
-        let setup_ns = elapsed_ns(t_batch);
+        let setup_ns = elapsed_ns(t_start);
         let threads = trajsim_parallel::num_threads().min(n.max(1));
         let chunk_len = n.div_ceil(threads * 4).max(k).max(1);
         let max_pair = self.arena.max_len().max(batch.max_query_len());
-        let filters = self.config.order.filters();
 
-        #[derive(Clone, Copy, Default)]
-        struct BatchCounters {
-            edr: usize,
-            cells: u64,
-            refine_ns: u64,
-            pruned_h: usize,
-            pruned_q: usize,
-            pruned_t: usize,
-            h_in: usize,
-            h_out: usize,
-            q_in: usize,
-            q_out: usize,
-            t_in: usize,
-            t_out: usize,
-        }
-
-        // Phase 2: candidate-major quick-bound table `quick[id * nq + qi]`.
-        //
-        // Without an index: each candidate's blur is built once and
-        // evaluated against every query (parallel over chunks). With an
-        // index: the table is seeded with the exact untouched distance
-        // `max(lq, ls)` and each query's histogram probe overwrites the
-        // cells it touched with its (≤ quick) lower bound — plus one
-        // q-gram probe per query whose counts replace the per-candidate
-        // merge join in the cascade below. Either way every entry lower-
-        // bounds EDR, so the pruning logic downstream is unchanged.
-        // Per-query q-gram probe results: `counts[qi]` holds the
-        // (id, matched-gram count) pairs the index emitted for query qi.
-        type PerQueryCounts = Vec<Vec<(u32, u32)>>;
+        // Phase 2: the candidate-major quick table `quick[id * nq + qi]`.
         let t_quick = Instant::now();
-        let (quick, art_counts): (Vec<usize>, Option<PerQueryCounts>) = match &self.index {
-            Some(index) => {
-                let mut quick = vec![0usize; n * nq];
-                for id in 0..n {
-                    let ls = self.arena.len_of(id);
-                    for (qi, q) in queries.iter().enumerate() {
-                        quick[id * nq + qi] = ls.max(q.len());
-                    }
-                }
-                let mut scratch = index.scratch.lock().expect("probe scratch poisoned");
-                let mut hist_out: Vec<HistCandidate> = Vec::new();
-                let mut counts_per_q: Vec<Vec<(u32, u32)>> = Vec::with_capacity(nq);
-                for (qi, (q, qh)) in queries.iter().zip(&qhs).enumerate() {
-                    let sig = match qh {
-                        QueryHists::Grid(h) => QuerySignature::Grid(h),
-                        QueryHists::PerDim(hs) => QuerySignature::PerDim(hs),
-                    };
-                    hist_out.clear();
-                    index
-                        .hist
-                        .probe(sig, q.len() as u32, &mut scratch, &mut hist_out);
-                    for c in &hist_out {
-                        quick[c.id as usize * nq + qi] = c.lower_bound as usize;
-                    }
-                    let mut counts = Vec::new();
-                    index.qgram.probe(&q_means[qi], &mut scratch, &mut counts);
-                    counts_per_q.push(counts);
-                }
-                (quick, Some(counts_per_q))
-            }
-            None => (
-                trajsim_parallel::par_chunks(
-                    n,
-                    chunk_len,
-                    || (),
-                    |(), range| {
-                        let mut out = Vec::with_capacity(range.len() * nq);
-                        for id in range {
-                            let c_blur = self.blur_candidate(id);
-                            for (qh, qb) in qhs.iter().zip(&q_blurs) {
-                                out.push(self.histogram_quick_blurred(qh, qb, id, &c_blur));
-                            }
+        let quick: Vec<usize> = if self.index.is_some() {
+            Vec::new()
+        } else {
+            let q_blurs: Vec<Blurs<D>> = if nq > 1 {
+                inputs.iter().map(|q| Blurs::of_query(&q.hists)).collect()
+            } else {
+                Vec::new()
+            };
+            trajsim_parallel::par_chunks(
+                n,
+                chunk_len,
+                || (),
+                |(), range| {
+                    let mut out = Vec::with_capacity(range.len() * nq);
+                    for id in range {
+                        if nq == 1 {
+                            out.push(self.histogram_quick(&inputs[0].hists, id));
+                            continue;
                         }
-                        out
-                    },
-                )
-                .concat(),
-                None,
-            ),
+                        let c_blur = self.blur_candidate(id);
+                        for (q, qb) in inputs.iter().zip(&q_blurs) {
+                            out.push(self.histogram_quick_blurred(&q.hists, qb, id, &c_blur));
+                        }
+                    }
+                    out
+                },
+            )
+            .concat()
         };
+        // A single query visits its candidates in ascending quick-bound
+        // (HSR) order, walk and chunk scan alike, so its k-th best
+        // tightens as fast as in a serial HSR scan. A batch's chunk scan
+        // goes in id order instead: one signature load serves every query.
+        let hsr: Option<Vec<usize>> = (self.index.is_none() && nq == 1).then(|| {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_unstable_by_key(|&id| (quick[id], id));
+            order
+        });
         let quick_ns = elapsed_ns(t_quick);
-        // The probe's count upper bound when indexed (absent id = zero
-        // matches, also sound), the merge join otherwise.
-        let qgram_count = |qi: usize, id: usize| -> usize {
-            match &art_counts {
-                Some(counts) => counts[qi]
-                    .binary_search_by_key(&(id as u32), |&(cid, _)| cid)
-                    .map(|i| counts[qi][i].1 as usize)
-                    .unwrap_or(0),
-                None => q_means[qi].match_count(&self.qgrams[id], self.eps),
-            }
-        };
 
-        // Phase 3: per-query prefix scan in HSR order over the
-        // quick-smallest candidates.
-        struct SeedOut {
-            neighbors: Vec<Neighbor>,
-            seeded: Vec<u64>,
-            /// Break-out hit inside the prefix: the query's result is
-            /// already final; the chunk scan skips it entirely.
-            done: bool,
-            refs: Vec<(usize, usize)>,
-            c: BatchCounters,
-        }
-        let prefix_len = n.min((4 * k).max(32));
+        // Phase 3: one walk per query.
         let qidx: Vec<usize> = (0..nq).collect();
-        let seeds: Vec<SeedOut> = trajsim_parallel::par_map_with(
+        let walks: Vec<Walk> = trajsim_parallel::par_map_with(
             &qidx,
             || EdrWorkspace::with_capacity(max_pair),
             |ws, _, &qi| {
-                let col = |id: usize| quick[id * nq + qi];
+                let (q, ctx) = (&inputs[qi], batch.ctx(qi));
+                let walk = match &self.index {
+                    Some(index) => self.walk_indexed(index, q, ctx, k, ws),
+                    None => self.walk_prefix(&quick, hsr.as_deref(), nq, qi, q, ctx, k, ws),
+                };
+                batch.tighten(qi, walk.rs.best_so_far());
+                walk
+            },
+        );
+
+        // Phase 4: the chunk scan over the queries the walks left open.
+        let open: Vec<usize> = (0..nq).filter(|&qi| !walks[qi].done).collect();
+        struct ChunkOut {
+            partials: Vec<Vec<Neighbor>>,
+            counters: Vec<Counters>,
+        }
+        let chunks: Vec<ChunkOut> = if open.is_empty() {
+            Vec::new()
+        } else {
+            trajsim_parallel::par_chunks(
+                n,
+                chunk_len,
+                || EdrWorkspace::with_capacity(max_pair),
+                |ws, range| {
+                    // Each chunk's top-k starts from its query's walk, so its
+                    // k-th best is that of the walk's candidates and its own.
+                    let mut locals: Vec<ResultSet> =
+                        open.iter().map(|&qi| walks[qi].rs.clone()).collect();
+                    let mut counters = vec![Counters::default(); open.len()];
+                    let mut refs: Vec<Vec<(usize, usize)>> =
+                        open.iter().map(|&qi| walks[qi].refs.clone()).collect();
+                    for pos in range {
+                        let id = hsr.as_ref().map_or(pos, |order| order[pos]);
+                        for (oi, &qi) in open.iter().enumerate() {
+                            let walk = &walks[qi];
+                            if walk.visited[id / 64] >> (id % 64) & 1 == 1 {
+                                continue; // the walk already handled it
+                            }
+                            let c = &mut counters[oi];
+                            let best = batch.bound(qi).min(locals[oi].best_so_far());
+                            if best != usize::MAX && quick[id * nq + qi] > best {
+                                c.settled += 1;
+                                continue;
+                            }
+                            let (q, ctx) = (&inputs[qi], batch.ctx(qi));
+                            if let Some(d) = self.cascade(q, ctx, id, best, None, &refs[oi], ws, c)
+                            {
+                                self.add_reference(&mut refs[oi], id, d);
+                                locals[oi].offer_ranked(id, d);
+                                batch.tighten(qi, locals[oi].best_so_far());
+                            }
+                        }
+                    }
+                    ChunkOut {
+                        partials: locals.into_iter().map(ResultSet::into_neighbors).collect(),
+                        counters,
+                    }
+                },
+            )
+        };
+
+        // Phase 5: per-query merge + stats assembly (accounting rules in
+        // `crate::batch`).
+        let wall_ns = elapsed_ns(t_start);
+        let name = self.name();
+        let batch_id = batched.then(next_batch_id);
+        let results: Vec<KnnResult> = walks
+            .into_iter()
+            .enumerate()
+            .map(|(qi, walk)| {
+                let mut stats = QueryStats {
+                    database_size: n,
+                    ..Default::default()
+                };
+                stats.timings.setup_ns = amortize(setup_ns, nq, qi);
+                stats.timings.histogram.filter_ns = amortize(quick_ns, nq, qi) + walk.candgen_ns;
+                walk.c.add_to(&mut stats);
+                let mut parts = vec![walk.rs.into_neighbors()];
+                if let Ok(oi) = open.binary_search(&qi) {
+                    for chunk in &chunks {
+                        chunk.counters[oi].add_to(&mut stats);
+                        parts.push(chunk.partials[oi].clone());
+                    }
+                }
+                stats.timings.total_ns = amortize(wall_ns, nq, qi);
+                let neighbors = merge_partials(k, parts);
+                finish_query(&name, queries[qi].len(), k, batch_id, &neighbors, &stats);
+                KnnResult { neighbors, stats }
+            })
+            .collect();
+        if batched {
+            // Signatures read once for the whole batch: the quick-table
+            // pass and the chunk scan. Indexed walks share nothing.
+            let passes = if self.index.is_some() {
+                0
+            } else {
+                1 + usize::from(!chunks.is_empty())
+            };
+            finish_batch(&name, nq, (passes * n) as u64, wall_ns);
+        }
+        results
+    }
+
+    /// Phase 3 without an index: the query's walk over its prefix of
+    /// quick-smallest candidates.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_prefix(
+        &self,
+        quick: &[usize],
+        hsr: Option<&[usize]>,
+        nq: usize,
+        qi: usize,
+        q: &QueryInput<D>,
+        ctx: &QueryContext<D>,
+        k: usize,
+        ws: &mut EdrWorkspace,
+    ) -> Walk {
+        let t_order = Instant::now();
+        let n = self.dataset.len();
+        let col = |id: usize| quick[id * nq + qi];
+        let prefix_len = n.min(k.saturating_mul(4).max(PREFIX_MIN));
+        let order: Vec<usize> = match hsr {
+            Some(sorted) => sorted[..prefix_len].to_vec(),
+            None => {
                 let mut order: Vec<usize> = (0..n).collect();
                 if prefix_len < n {
                     order.select_nth_unstable_by_key(prefix_len - 1, |&id| (col(id), id));
                     order.truncate(prefix_len);
                 }
                 order.sort_unstable_by_key(|&id| (col(id), id));
-                let mut rs = ResultSet::new(k);
-                let mut seeded = vec![0u64; n.div_ceil(64)];
-                let mut refs: Vec<(usize, usize)> = Vec::new();
-                let mut c = BatchCounters::default();
-                let mut done = false;
-                let ctx = batch.ctx(qi);
-                'prefix: for (rank, &id) in order.iter().enumerate() {
-                    let best = rs.best_so_far();
-                    if best != usize::MAX {
-                        if col(id) > best {
-                            // Sorted break-out: the prefix holds the n
-                            // smallest quick bounds, so every unvisited
-                            // candidate — inside or beyond the prefix —
-                            // is at least this far away.
-                            c.pruned_h += n - rank;
-                            done = true;
-                            break 'prefix;
-                        }
-                        for filter in &filters {
-                            let pruned = match filter {
-                                // The quick table and the sorted prefix are
-                                // the batch path's histogram stage; the
-                                // exact max-flow HD costs about as much as
-                                // a bounded refine and rarely prunes beyond
-                                // the quick bound, so the batched scan
-                                // skips it — sound, as a skipped filter
-                                // only sends more candidates to the
-                                // early-abandoning refine.
-                                Filter::Histogram => false,
-                                Filter::Qgram => {
-                                    c.q_in += 1;
-                                    let v = qgram_count(qi, id);
-                                    if !passes_count_filter(
-                                        v,
-                                        ctx.len(),
-                                        self.arena.len_of(id),
-                                        self.config.qgram_q,
-                                        best,
-                                    ) {
-                                        c.pruned_q += 1;
-                                        true
-                                    } else {
-                                        c.q_out += 1;
-                                        false
-                                    }
-                                }
-                                Filter::NearTriangle => {
-                                    c.t_in += 1;
-                                    let s_len = self.arena.len_of(id);
-                                    let lower = refs
-                                        .iter()
-                                        .map(|&(r, dqr)| {
-                                            dqr as i64 - self.pmatrix[r][id] as i64 - s_len as i64
-                                        })
-                                        .max();
-                                    if matches!(lower, Some(l) if l > best as i64) {
-                                        c.pruned_t += 1;
-                                        true
-                                    } else {
-                                        c.t_out += 1;
-                                        false
-                                    }
-                                }
-                            };
-                            if pruned {
-                                seeded[id / 64] |= 1 << (id % 64);
-                                continue 'prefix;
-                            }
-                        }
-                    }
-                    seeded[id / 64] |= 1 << (id % 64);
-                    let t = Instant::now();
-                    let d = if best == usize::MAX {
-                        let (d, cl) = ctx.edr_counted(self.arena.view(id), ws);
-                        c.cells += cl;
-                        Some(d)
-                    } else {
-                        let (d, cl) = ctx.edr_within_counted(self.arena.view(id), best, ws);
-                        c.cells += cl;
-                        d
-                    };
-                    c.refine_ns += elapsed_ns(t);
-                    c.edr += 1;
-                    if let Some(d) = d {
-                        if id < self.pmatrix.len() && refs.len() < self.config.max_triangle {
-                            refs.push((id, d));
-                        }
-                        rs.offer(id, d);
-                    }
-                }
-                batch.tighten(qi, rs.best_so_far());
-                SeedOut {
-                    neighbors: rs.into_neighbors(),
-                    seeded,
-                    done,
-                    refs,
-                    c,
-                }
-            },
-        );
-
-        // Phase 4: the shared chunk scan over the still-open queries.
-        struct ChunkOut {
-            partials: Vec<Vec<Neighbor>>,
-            counters: Vec<BatchCounters>,
+                order
+            }
+        };
+        let mut w = Walk::new(k, n);
+        w.candgen_ns = elapsed_ns(t_order);
+        w.done = prefix_len == n;
+        for (rank, &id) in order.iter().enumerate() {
+            let best = w.rs.best_so_far();
+            if best != usize::MAX && col(id) > best {
+                // Sorted break-out: the prefix holds the smallest quick
+                // bounds, so every unvisited candidate — inside or beyond
+                // the prefix — is at least this far away.
+                w.c.settled += n - rank;
+                w.done = true;
+                break;
+            }
+            w.visited[id / 64] |= 1 << (id % 64);
+            if let Some(d) = self.cascade(q, ctx, id, best, None, &w.refs, ws, &mut w.c) {
+                self.add_reference(&mut w.refs, id, d);
+                w.rs.offer_ranked(id, d);
+            }
         }
-        let chunks: Vec<ChunkOut> = trajsim_parallel::par_chunks(
-            n,
-            chunk_len,
-            || EdrWorkspace::with_capacity(max_pair),
-            |ws, range| {
-                let mut locals: Vec<ResultSet> = (0..nq).map(|_| ResultSet::new(k)).collect();
-                let mut counters = vec![BatchCounters::default(); nq];
-                // Triangle pools start from the prefix scan's exact
-                // distances and grow chunk-locally.
-                let mut refs: Vec<Vec<(usize, usize)>> =
-                    seeds.iter().map(|s| s.refs.clone()).collect();
-                for id in range {
-                    // The candidate's signature, loaded once per batch.
-                    let s_view = self.arena.view(id);
-                    let s_len = self.arena.len_of(id);
-                    'queries: for qi in 0..nq {
-                        if seeds[qi].done || seeds[qi].seeded[id / 64] >> (id % 64) & 1 == 1 {
-                            continue; // settled or visited in the prefix scan
-                        }
-                        let c = &mut counters[qi];
-                        let local = &mut locals[qi];
-                        let best = batch.bound(qi).min(local.best_so_far());
-                        if best != usize::MAX {
-                            if quick[id * nq + qi] > best {
-                                c.pruned_h += 1;
-                                continue;
-                            }
-                            for filter in filters {
-                                let pruned = match filter {
-                                    // Skipped in the batched scan for the
-                                    // same reason as in the prefix scan:
-                                    // the quick table already played the
-                                    // histogram stage's part.
-                                    Filter::Histogram => false,
-                                    Filter::Qgram => {
-                                        c.q_in += 1;
-                                        let v = qgram_count(qi, id);
-                                        if !passes_count_filter(
-                                            v,
-                                            batch.ctx(qi).len(),
-                                            s_len,
-                                            self.config.qgram_q,
-                                            best,
-                                        ) {
-                                            c.pruned_q += 1;
-                                            true
-                                        } else {
-                                            c.q_out += 1;
-                                            false
-                                        }
-                                    }
-                                    Filter::NearTriangle => {
-                                        c.t_in += 1;
-                                        let lower = refs[qi]
-                                            .iter()
-                                            .map(|&(r, dqr)| {
-                                                dqr as i64
-                                                    - self.pmatrix[r][id] as i64
-                                                    - s_len as i64
-                                            })
-                                            .max();
-                                        if matches!(lower, Some(l) if l > best as i64) {
-                                            c.pruned_t += 1;
-                                            true
-                                        } else {
-                                            c.t_out += 1;
-                                            false
-                                        }
-                                    }
-                                };
-                                if pruned {
-                                    continue 'queries;
-                                }
-                            }
-                        }
-                        let t_refine = Instant::now();
-                        let d = if best == usize::MAX {
-                            let (d, cl) = batch.ctx(qi).edr_counted(s_view, ws);
-                            c.cells += cl;
-                            Some(d)
-                        } else {
-                            let (d, cl) = batch.ctx(qi).edr_within_counted(s_view, best, ws);
-                            c.cells += cl;
-                            d
-                        };
-                        c.refine_ns += elapsed_ns(t_refine);
-                        c.edr += 1;
-                        if let Some(d) = d {
-                            // `d` is exact (early abandoning returned a
-                            // value), so it can join this worker's
-                            // triangle reference pool.
-                            if id < self.pmatrix.len() && refs[qi].len() < self.config.max_triangle
-                            {
-                                refs[qi].push((id, d));
-                            }
-                            local.offer(id, d);
-                            batch.tighten(qi, local.best_so_far());
-                        }
+        w
+    }
+
+    /// Phase 3 with an index: the query's walk over the probe's
+    /// candidates, then over the untouched ids by length. Always settles
+    /// the query.
+    fn walk_indexed(
+        &self,
+        index: &ArtIndexes<D>,
+        q: &QueryInput<D>,
+        ctx: &QueryContext<D>,
+        k: usize,
+        ws: &mut EdrWorkspace,
+    ) -> Walk {
+        let t_probe = Instant::now();
+        let generated = index.generate(ctx.len(), &q.hists, &q.means);
+        let mut w = Walk::new(k, 0);
+        w.candgen_ns = elapsed_ns(t_probe);
+        w.done = true;
+        let touched = &generated.candidates;
+        for (rank, cand) in touched.iter().enumerate() {
+            let best = w.rs.best_so_far();
+            if best != usize::MAX && cand.lower_bound > best {
+                // Sorted break-out: every remaining lower bound is at
+                // least this one.
+                w.c.settled += touched.len() - rank;
+                break;
+            }
+            let d = if cand.exact {
+                // The index proved `lower_bound` *is* the EDR: no cascade,
+                // no refine — offer it outright.
+                w.c.settled += 1;
+                Some(cand.lower_bound)
+            } else {
+                let ub = cand.qgram_count_ub;
+                self.cascade(q, ctx, cand.id, best, ub, &w.refs, ws, &mut w.c)
+            };
+            if let Some(d) = d {
+                self.add_reference(&mut w.refs, cand.id, d);
+                w.rs.offer_ranked(cand.id, d);
+            }
+        }
+        // Trajectories the index never touched share no dilated cell with
+        // the query: their EDR is exactly `max(query len, their len)`.
+        // Walking them in nondecreasing length gives nondecreasing
+        // distance, so the first one past the k-th best settles all the
+        // rest. None needs a refine.
+        let touched_ids = generated.ids(); // ascending, for the skip test
+        let mut remaining = self.dataset.len() - touched_ids.len();
+        for &id32 in &index.ids_by_len {
+            let id = id32 as usize;
+            if touched_ids.binary_search(&id).is_ok() {
+                continue;
+            }
+            let d = ctx.len().max(self.arena.len_of(id));
+            let best = w.rs.best_so_far();
+            if best != usize::MAX && d > best {
+                w.c.settled += remaining;
+                break;
+            }
+            remaining -= 1;
+            w.c.settled += 1;
+            w.rs.offer_ranked(id, d);
+        }
+        w
+    }
+
+    /// One candidate through the configured filter order, then — if no
+    /// filter prunes it — the refine: a full EDR while the top-k is not
+    /// yet full (`best == usize::MAX`) or when the candidate can still
+    /// join the triangle reference pool (a far reference gives the
+    /// strongest triangle bounds, so its distance is worth knowing
+    /// exactly), else early-abandoning EDR under `best`. Returns the
+    /// exact distance when it is known: after a full refine, or when it
+    /// is at most `best`.
+    ///
+    /// Each stage's candidate flow and time land in `c`; one clock read
+    /// per evaluated stage (each stage's stopwatch starts where the
+    /// previous one stopped).
+    #[allow(clippy::too_many_arguments)]
+    fn cascade(
+        &self,
+        q: &QueryInput<D>,
+        ctx: &QueryContext<D>,
+        id: usize,
+        best: usize,
+        qgram_ub: Option<usize>,
+        refs: &[(usize, usize)],
+        ws: &mut EdrWorkspace,
+        c: &mut Counters,
+    ) -> Option<usize> {
+        let mut t = Instant::now();
+        if best != usize::MAX {
+            let s_len = self.arena.len_of(id);
+            for filter in self.config.order.filters() {
+                let (pruned, stage) = match filter {
+                    Filter::Histogram if !self.config.exact_histogram => continue,
+                    Filter::Histogram => (self.histogram_exact(&q.hists, id) > best, &mut c.hist),
+                    Filter::Qgram => {
+                        // The index probe's count upper bound replaces
+                        // the merge join when present.
+                        let v = qgram_ub
+                            .unwrap_or_else(|| q.means.match_count(&self.qgrams[id], self.eps));
+                        let passes =
+                            passes_count_filter(v, ctx.len(), s_len, self.config.qgram_q, best);
+                        (!passes, &mut c.qgram)
                     }
-                }
-                ChunkOut {
-                    partials: locals.into_iter().map(ResultSet::into_neighbors).collect(),
-                    counters,
-                }
-            },
-        );
-        // Phase 5: per-query merge + stats assembly (accounting rules in
-        // `crate::batch`).
-        let wall_ns = elapsed_ns(t_batch);
-        let name = self.name();
-        let batch_id = next_batch_id();
-        let results: Vec<KnnResult> = (0..nq)
-            .map(|qi| {
-                let seed = &seeds[qi];
-                let mut stats = QueryStats {
-                    database_size: n,
-                    ..Default::default()
+                    Filter::NearTriangle => {
+                        let pruned = refs.iter().any(|&(r, dqr)| {
+                            dqr as i64 - self.pmatrix[r][id] as i64 - s_len as i64 > best as i64
+                        });
+                        (pruned, &mut c.triangle)
+                    }
                 };
-                stats.timings.setup_ns = amortize(setup_ns, nq, qi);
-                stats.timings.histogram.filter_ns = amortize(quick_ns, nq, qi);
-                for c in
-                    std::iter::once(&seed.c).chain(chunks.iter().map(|chunk| &chunk.counters[qi]))
-                {
-                    stats.edr_computed += c.edr;
-                    stats.dp_cells += c.cells;
-                    stats.pruned_by_histogram += c.pruned_h;
-                    stats.pruned_by_qgram += c.pruned_q;
-                    stats.pruned_by_triangle += c.pruned_t;
-                    stats.timings.histogram.candidates_in += c.h_in;
-                    stats.timings.histogram.candidates_out += c.h_out;
-                    stats.timings.qgram.candidates_in += c.q_in;
-                    stats.timings.qgram.candidates_out += c.q_out;
-                    stats.timings.triangle.candidates_in += c.t_in;
-                    stats.timings.triangle.candidates_out += c.t_out;
-                    stats.timings.refine_ns += c.refine_ns;
+                let now = Instant::now();
+                stage.filter_ns += u64::try_from((now - t).as_nanos()).unwrap_or(u64::MAX);
+                t = now;
+                stage.candidates_in += 1;
+                if pruned {
+                    return None;
                 }
-                stats.timings.total_ns = amortize(wall_ns, nq, qi);
-                let neighbors = merge_partials(
-                    k,
-                    std::iter::once(seed.neighbors.clone())
-                        .chain(chunks.iter().map(|ch| ch.partials[qi].clone())),
-                );
-                finish_query(
-                    &name,
-                    queries[qi].len(),
-                    k,
-                    Some(batch_id),
-                    &neighbors,
-                    &stats,
-                );
-                KnnResult { neighbors, stats }
-            })
-            .collect();
-        // Both shared passes (quick table + chunk scan) touch each
-        // candidate's signature once for the whole batch — except that
-        // the indexed path replaces the quick-table pass with probes
-        // that touch only occupied cells.
-        let signature_evals = if self.index.is_some() { n } else { 2 * n };
-        finish_batch(&name, nq, signature_evals as u64, wall_ns);
-        results
+                stage.candidates_out += 1;
+            }
+        }
+        let view = self.arena.view(id);
+        let (d, cells) = if best == usize::MAX || self.wants_reference(refs, id) {
+            let (d, cells) = ctx.edr_counted(view, ws);
+            (Some(d), cells)
+        } else {
+            ctx.edr_within_counted(view, best, ws)
+        };
+        c.refine_ns += elapsed_ns(t);
+        c.cells += cells;
+        c.edr += 1;
+        d
+    }
+
+    /// Whether `id`'s exact distance would join the triangle reference
+    /// pool: only ids of the pmatrix pool, at most `max_triangle` of them.
+    fn wants_reference(&self, refs: &[(usize, usize)], id: usize) -> bool {
+        id < self.pmatrix.len() && refs.len() < self.config.max_triangle
+    }
+
+    /// Adds an exact distance to a triangle reference pool (see
+    /// [`Self::wants_reference`]).
+    fn add_reference(&self, refs: &mut Vec<(usize, usize)>, id: usize, d: usize) {
+        if self.wants_reference(refs, id) {
+            refs.push((id, d));
+        }
+    }
+}
+
+/// Smallest prefix a query walks before the chunk scan (see
+/// [`CombinedKnn::scan`]); the prefix is `max(4k, PREFIX_MIN)`.
+const PREFIX_MIN: usize = 32;
+
+/// Smallest scan, in the DP cells a full sequential scan of it would fill
+/// (query points × database points), that runs on the thread pool. Each
+/// pool run costs on the order of 100 µs to spawn and join; below this
+/// size the whole scan takes about that long, so it stays on the calling
+/// thread.
+const POOL_MIN_CELLS: u64 = 1 << 21;
+
+/// The query side of the cascade, built once per query.
+struct QueryInput<const D: usize> {
+    hists: QueryHists<D>,
+    means: SortedMeans<D>,
+}
+
+/// Work counters of one walk or one chunk for one query, summed into
+/// its [`QueryStats`] at the end. Filter stages count their own prune
+/// credit (`candidates_in − candidates_out`); `settled` counts what the
+/// lower bounds settled without the cascade — quick-bound prunes,
+/// sorted break-outs and exact index settlements — which is histogram
+/// credit too.
+#[derive(Clone, Copy, Default)]
+struct Counters {
+    edr: usize,
+    cells: u64,
+    refine_ns: u64,
+    settled: usize,
+    hist: StageStats,
+    qgram: StageStats,
+    triangle: StageStats,
+}
+
+impl Counters {
+    fn add_to(&self, stats: &mut QueryStats) {
+        stats.edr_computed += self.edr;
+        stats.dp_cells += self.cells;
+        stats.timings.refine_ns += self.refine_ns;
+        stats.pruned_by_histogram += self.settled + self.hist.pruned();
+        stats.pruned_by_qgram += self.qgram.pruned();
+        stats.pruned_by_triangle += self.triangle.pruned();
+        stats.timings.histogram.accumulate(&self.hist);
+        stats.timings.qgram.accumulate(&self.qgram);
+        stats.timings.triangle.accumulate(&self.triangle);
+    }
+}
+
+/// One query's serial walk: its top-k, its triangle reference pool, and
+/// which ids it visited.
+struct Walk {
+    rs: ResultSet,
+    refs: Vec<(usize, usize)>,
+    /// Bitmap of the ids the walk handled (empty for indexed walks).
+    visited: Vec<u64>,
+    /// The walk settled the query; the chunk scan skips it.
+    done: bool,
+    /// Candidate generation time (index probe, or ordering the prefix),
+    /// charged to the histogram stage.
+    candgen_ns: u64,
+    c: Counters,
+}
+
+impl Walk {
+    fn new(k: usize, n: usize) -> Walk {
+        Walk {
+            rs: ResultSet::new(k),
+            refs: Vec::new(),
+            visited: vec![0; n.div_ceil(64)],
+            done: false,
+            candgen_ns: 0,
+            c: Counters::default(),
+        }
     }
 }
 
@@ -920,173 +1011,11 @@ impl<const D: usize> CandidateSource<D> for CombinedKnn<'_, D> {
 }
 
 impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
+    /// [`CombinedKnn::scan`] with a batch of one.
     fn knn(&self, query: &Trajectory<D>, k: usize) -> KnnResult {
-        let t_query = Instant::now();
-        let qh = self.query_hists(query);
-        let q_means = SortedMeans::build(query, self.config.qgram_q);
-        // Query side of the refine stage, transposed once into SoA
-        // columns; candidates stream from the columnar arena.
-        let ctx = QueryContext::from_trajectory(query, self.eps);
-        let mut stats = QueryStats {
-            database_size: self.dataset.len(),
-            ..Default::default()
-        };
-        stats.timings.setup_ns = elapsed_ns(t_query);
-        let mut result = ResultSet::new(k);
-        let mut references: Vec<(usize, usize)> = Vec::new();
-        let filters = self.config.order.filters();
-        // The combination uses the HSR scan the §5.3 study selected:
-        // candidates are visited in ascending order of their histogram
-        // lower bound, regardless of the filter order, so the k-th-best
-        // distance tightens as fast as possible and — because the visit
-        // sequence is shared — all six filter orders prune the same
-        // candidate set.
-        //
-        // Stage accounting: candidate generation (quick bounds or index
-        // probes, plus the sort) is charged to the histogram filter's
-        // time; each stage's candidates_in/out count its per-candidate
-        // evaluations, so sorted break-out prunes — and candidates the
-        // index settled exactly without a refine — appear in
-        // `pruned_by_histogram` but not in the histogram stage's
-        // candidate flow.
-        let t_filter = Instant::now();
-        let generated = self.generate_candidates(query.len(), &qh, &q_means);
-        stats.timings.histogram.filter_ns += elapsed_ns(t_filter);
-        // One borrow of the thread's EDR workspace around the whole
-        // candidate loop: every refine below reuses the same scratch.
-        with_workspace(|ws| {
-            'candidates: for (rank, cand) in generated.candidates.iter().enumerate() {
-                let id = cand.id;
-                let s = &self.dataset.trajectories()[id];
-                let best = result.best_so_far();
-                if best != usize::MAX && cand.lower_bound > best {
-                    // Sorted scan break-out: every remaining lower bound
-                    // is at least this one.
-                    stats.pruned_by_histogram += generated.candidates.len() - rank;
-                    break;
-                }
-                if cand.exact {
-                    // The index proved `lower_bound` *is* the EDR: no
-                    // cascade, no refine — offer it outright (it also
-                    // makes a sound triangle reference).
-                    stats.pruned_by_histogram += 1;
-                    if id < self.pmatrix.len() && references.len() < self.config.max_triangle {
-                        references.push((id, cand.lower_bound));
-                    }
-                    result.offer(id, cand.lower_bound);
-                    continue;
-                }
-                if best != usize::MAX {
-                    for filter in filters {
-                        let pruned = match filter {
-                            Filter::Histogram => {
-                                stats.timings.histogram.candidates_in += 1;
-                                let t = Instant::now();
-                                let prune = self.histogram_exact(&qh, id) > best;
-                                stats.timings.histogram.filter_ns += elapsed_ns(t);
-                                if prune {
-                                    stats.pruned_by_histogram += 1;
-                                    true
-                                } else {
-                                    stats.timings.histogram.candidates_out += 1;
-                                    false
-                                }
-                            }
-                            Filter::Qgram => {
-                                stats.timings.qgram.candidates_in += 1;
-                                let t = Instant::now();
-                                // The index probe's count upper bound
-                                // replaces the merge join when present.
-                                let v = match cand.qgram_count_ub {
-                                    Some(v) => v,
-                                    None => q_means.match_count(&self.qgrams[id], self.eps),
-                                };
-                                let prune = !passes_count_filter(
-                                    v,
-                                    query.len(),
-                                    s.len(),
-                                    self.config.qgram_q,
-                                    best,
-                                );
-                                stats.timings.qgram.filter_ns += elapsed_ns(t);
-                                if prune {
-                                    stats.pruned_by_qgram += 1;
-                                    true
-                                } else {
-                                    stats.timings.qgram.candidates_out += 1;
-                                    false
-                                }
-                            }
-                            Filter::NearTriangle => {
-                                stats.timings.triangle.candidates_in += 1;
-                                let t = Instant::now();
-                                let lower = references
-                                    .iter()
-                                    .map(|&(r, dist_qr)| {
-                                        dist_qr as i64 - self.pmatrix[r][id] as i64 - s.len() as i64
-                                    })
-                                    .max();
-                                let prune = matches!(lower, Some(l) if l > best as i64);
-                                stats.timings.triangle.filter_ns += elapsed_ns(t);
-                                if prune {
-                                    stats.pruned_by_triangle += 1;
-                                    true
-                                } else {
-                                    stats.timings.triangle.candidates_out += 1;
-                                    false
-                                }
-                            }
-                        };
-                        if pruned {
-                            continue 'candidates;
-                        }
-                    }
-                }
-                let t_refine = Instant::now();
-                let (d, cells) = ctx.edr_counted(self.arena.view(id), ws);
-                stats.timings.refine_ns += elapsed_ns(t_refine);
-                stats.dp_cells += cells;
-                stats.edr_computed += 1;
-                if id < self.pmatrix.len() && references.len() < self.config.max_triangle {
-                    references.push((id, d));
-                }
-                result.offer(id, d);
-            }
-        });
-        if !generated.exhaustive {
-            // Trajectories the index never touched share no dilated cell
-            // with the query: their EDR is exactly `max(query len, their
-            // len)`. Walking them in nondecreasing length gives
-            // nondecreasing distance, so the first one past the k-th
-            // best settles all the rest. None needs a refine.
-            let touched = generated.ids(); // ascending, for the skip test
-            let index = self.index.as_ref().expect("non-exhaustive implies index");
-            let mut remaining = self.dataset.len() - touched.len();
-            for &id32 in &index.ids_by_len {
-                let id = id32 as usize;
-                if touched.binary_search(&id).is_ok() {
-                    continue;
-                }
-                let d = query.len().max(self.arena.len_of(id));
-                let best = result.best_so_far();
-                if best != usize::MAX && d > best {
-                    stats.pruned_by_histogram += remaining;
-                    break;
-                }
-                remaining -= 1;
-                stats.pruned_by_histogram += 1;
-                result.offer(id, d);
-            }
-        }
-        finalize_query(
-            &self.name(),
-            query.len(),
-            k,
-            None,
-            t_query,
-            result.into_neighbors(),
-            stats,
-        )
+        self.scan(std::slice::from_ref(query), k, false)
+            .pop()
+            .expect("one result per query")
     }
 
     fn name(&self) -> String {
@@ -1103,10 +1032,19 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
         Self: Sync,
     {
         if queries.len() <= 1 {
-            return trajsim_parallel::par_map(queries, |_, q| self.knn(q, k));
+            return queries.iter().map(|q| self.knn(q, k)).collect();
         }
-        self.knn_batch_scan(queries, k)
+        self.scan(queries, k, true)
     }
+}
+
+/// The constructors' parameter checks.
+fn check_parameters(eps: MatchThreshold, config: &CombinedConfig) {
+    assert!(config.qgram_q > 0, "q-gram size must be positive");
+    assert!(
+        eps.value() > 0.0,
+        "histogram pruning needs a positive epsilon"
+    );
 }
 
 #[cfg(test)]
@@ -1142,31 +1080,38 @@ mod tests {
             .collect()
     }
 
+    /// Pinned to one thread: on more, the chunk scan's shared bound
+    /// tightens in a timing-dependent order, so pruning counts (not
+    /// answers) can differ from run to run and between orders.
     #[test]
     fn all_orders_match_sequential_scan_with_equal_pruning_power() {
         let db = random_db(1, 60, 18);
         let query = random_db(2, 1, 18).trajectories()[0].clone();
         let e = eps(0.6);
         let truth = SequentialScan::new(&db, e).knn(&query, 5);
-        let mut powers = Vec::new();
-        for order in PruneOrder::ALL {
-            let config = CombinedConfig {
-                order,
-                histogram: HistogramVariant::Grid { delta: 1 },
-                qgram_q: 1,
-                max_triangle: 20,
-            };
-            let engine = CombinedKnn::build(&db, e, config);
-            let r = engine.knn(&query, 5);
-            assert_eq!(r.distances(), truth.distances(), "{:?} diverged", order);
-            powers.push(r.stats.pruning_power());
-        }
-        // §4.4: "the six combinations achieve the same pruning power".
-        for p in &powers {
-            assert!((p - powers[0]).abs() < 1e-12, "powers differ: {powers:?}");
+        for exact_histogram in [false, true] {
+            let mut powers = Vec::new();
+            for order in PruneOrder::ALL {
+                let config = CombinedConfig {
+                    order,
+                    histogram: HistogramVariant::Grid { delta: 1 },
+                    qgram_q: 1,
+                    max_triangle: 20,
+                    exact_histogram,
+                };
+                let engine = CombinedKnn::build(&db, e, config);
+                let r = trajsim_parallel::run_serial(|| engine.knn(&query, 5));
+                assert_eq!(r.distances(), truth.distances(), "{:?} diverged", order);
+                powers.push(r.stats.pruning_power());
+            }
+            // §4.4: "the six combinations achieve the same pruning power".
+            for p in &powers {
+                assert!((p - powers[0]).abs() < 1e-12, "powers differ: {powers:?}");
+            }
         }
     }
 
+    /// Pinned to one thread, as the test above.
     #[test]
     fn per_filter_credit_follows_the_order() {
         let db = random_db(3, 80, 20);
@@ -1178,8 +1123,10 @@ mod tests {
                 histogram: HistogramVariant::Grid { delta: 1 },
                 qgram_q: 1,
                 max_triangle: 20,
+                exact_histogram: true,
             };
-            CombinedKnn::build(&db, e, config).knn(&query, 5).stats
+            let engine = CombinedKnn::build(&db, e, config);
+            trajsim_parallel::run_serial(|| engine.knn(&query, 5)).stats
         };
         let hqn = mk(PruneOrder::HQN);
         let qhn = mk(PruneOrder::QHN);
@@ -1285,6 +1232,7 @@ mod tests {
             k in 1usize..6,
             e in 0.2..1.5f64,
             delta in 1u32..3,
+            exact in 0u8..2,
         ) {
             let db = random_db(seed, 25, 14);
             let query = random_db(seed + 77, 1, 14).trajectories()[0].clone();
@@ -1296,6 +1244,7 @@ mod tests {
                     histogram: HistogramVariant::Grid { delta },
                     qgram_q: 2,
                     max_triangle: 8,
+                    exact_histogram: exact == 1,
                 };
                 let engine = CombinedKnn::build(&db, e, config);
                 prop_assert_eq!(

@@ -530,6 +530,21 @@ impl ResultSet {
         self.entries.truncate(self.k);
     }
 
+    /// [`Self::offer`] ranking ties by id: keeps the `k` smallest
+    /// `(dist, id)` pairs in whatever order they are offered, so a scan
+    /// that visits candidates out of id order still returns the serial
+    /// scan's neighbours exactly. A set takes one kind of offer only.
+    pub(crate) fn offer_ranked(&mut self, id: usize, dist: usize) {
+        let pos = self
+            .entries
+            .partition_point(|n| (n.dist, n.id) < (dist, id));
+        if pos >= self.k {
+            return;
+        }
+        self.entries.insert(pos, Neighbor { id, dist });
+        self.entries.truncate(self.k);
+    }
+
     pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
         self.entries
     }
@@ -583,6 +598,18 @@ mod tests {
         let n = rs.into_neighbors();
         assert_eq!(n.len(), 2);
         assert_eq!(n[1], Neighbor { id: 1, dist: 2 });
+    }
+
+    #[test]
+    fn ranked_offers_keep_the_smallest_ids_among_ties() {
+        let mut rs = ResultSet::new(2);
+        for (id, dist) in [(9, 2), (4, 1), (7, 2), (3, 2), (8, 5)] {
+            rs.offer_ranked(id, dist);
+        }
+        assert_eq!(
+            rs.into_neighbors(),
+            vec![Neighbor { id: 4, dist: 1 }, Neighbor { id: 3, dist: 2 }]
+        );
     }
 
     #[test]

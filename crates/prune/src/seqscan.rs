@@ -4,7 +4,6 @@ use crate::batch::{amortize, finish_batch, merge_partials, next_batch_id};
 use crate::result::{
     elapsed_ns, finalize_query, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, ResultSet,
 };
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use trajsim_core::{CoordSeq, Dataset, MatchThreshold, Trajectory, TrajectoryArena};
 use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext};
@@ -26,9 +25,10 @@ use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext}
 ///   computation to [`trajsim_distance::edr_within`] with the running
 ///   k-th-best bound;
 /// - [`SequentialScan::with_parallel`] splits a single query's scan over
-///   the database across threads (dynamic chunking; a shared atomic
-///   best-k bound feeds the early-abandon cutoff across workers; one
-///   pre-grown workspace per worker). The neighbor set is guaranteed
+///   the database across threads: the query runs as a batch of one
+///   through the shared-work batched scan (candidate chunks; a shared
+///   atomic best-k bound feeds the early-abandon cutoff across workers;
+///   one pre-grown workspace per worker). The neighbor set is guaranteed
 ///   identical to the serial scan's; with early abandoning,
 ///   `stats.dp_cells` can vary run-to-run because the shared bound
 ///   tightens in a thread-dependent order.
@@ -85,11 +85,14 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
     pub fn knn_coords<Q: CoordSeq<D>>(&self, query: Q, k: usize) -> KnnResult {
         let t_query = Instant::now();
         let ctx = QueryContext::new(query, self.eps);
-        let r = if self.parallel && self.dataset.len() > 1 && trajsim_parallel::num_threads() > 1 {
-            self.knn_parallel(&ctx, k)
-        } else {
-            self.knn_serial(&ctx, k)
-        };
+        if self.parallel && self.dataset.len() > 1 && trajsim_parallel::num_threads() > 1 {
+            let batch = BatchContext::from_contexts(vec![ctx]);
+            return self
+                .scan(&batch, k, t_query, false)
+                .pop()
+                .expect("one result per query");
+        }
+        let r = self.knn_serial(&ctx, k);
         finalize_query(
             &self.name(),
             ctx.len(),
@@ -142,98 +145,31 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
         }
     }
 
-    /// The dataset-parallel scan. Workers process dynamically dispensed
-    /// chunks, each keeping a local top-k; a shared atomic holds the
-    /// minimum of the workers' k-th-best distances, which is always an
-    /// upper bound of the final k-th distance and therefore a sound
-    /// early-abandon cutoff. The union of the local top-k sets contains
-    /// the true top-k (each member is in its own chunk's top-k), so the
-    /// (dist, id)-sorted merge equals the serial result exactly — serial
-    /// tie-breaking is by insertion order, which is ascending id.
+    /// The shared-work scan behind [`KnnEngine::knn_batch`] and the
+    /// parallel per-query scan (a batch of one): one dataset traversal
+    /// feeds every query. Workers claim candidate chunks; for each
+    /// candidate the columnar arena block is loaded once and the inner
+    /// loop runs over the batch's SoA query contexts. With early
+    /// abandoning each query's cutoff is the minimum of its shared
+    /// cross-worker bound and the worker's local k-th best, which is
+    /// always an upper bound of the final k-th distance. The union of the
+    /// chunks' local top-k sets contains the true top-k, so the
+    /// `(dist, id)`-sorted merge gives the serial scan's distances exactly
+    /// (ids may permute on EA-dropped ties).
     ///
-    /// Each worker owns one [`EdrWorkspace`], pre-grown to the largest
-    /// query/candidate pair, reused across every candidate it refines.
-    fn knn_parallel(&self, ctx: &QueryContext<D>, k: usize) -> KnnResult {
+    /// `t_start` is when the caller began building `batch` (its setup
+    /// time); `batched` stamps the results with a batch id and records
+    /// the batch metrics.
+    fn scan(
+        &self,
+        batch: &BatchContext<D>,
+        k: usize,
+        t_start: Instant,
+        batched: bool,
+    ) -> Vec<KnnResult> {
+        let nq = batch.len();
         let n = self.dataset.len();
-        let threads = trajsim_parallel::num_threads().min(n.max(1));
-        let chunk_len = n.div_ceil(threads * 4).max(k);
-        let chunks: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk_len)
-            .map(|start| (start, (start + chunk_len).min(n)))
-            .collect();
-        let shared_bound = AtomicUsize::new(usize::MAX);
-        let computed = AtomicUsize::new(0);
-        let cells_total = AtomicU64::new(0);
-        let busy_total = AtomicU64::new(0);
-        let max_pair = self.arena.max_len().max(ctx.len());
-        let partials: Vec<Vec<Neighbor>> = trajsim_parallel::par_map_with(
-            &chunks,
-            || EdrWorkspace::with_capacity(max_pair),
-            |ws, _, &(start, end)| {
-                let t_chunk = Instant::now();
-                let mut local = ResultSet::new(k);
-                let mut cells_local = 0u64;
-                for id in start..end {
-                    let s = self.arena.view(id);
-                    let bound = if self.early_abandon {
-                        shared_bound
-                            .load(Ordering::Relaxed)
-                            .min(local.best_so_far())
-                    } else {
-                        usize::MAX
-                    };
-                    if bound == usize::MAX {
-                        let (d, cells) = ctx.edr_counted(s, ws);
-                        cells_local += cells;
-                        local.offer(id, d);
-                    } else {
-                        let (d, cells) = ctx.edr_within_counted(s, bound, ws);
-                        cells_local += cells;
-                        if let Some(d) = d {
-                            local.offer(id, d);
-                        }
-                    }
-                    if self.early_abandon {
-                        shared_bound.fetch_min(local.best_so_far(), Ordering::Relaxed);
-                    }
-                }
-                computed.fetch_add(end - start, Ordering::Relaxed);
-                cells_total.fetch_add(cells_local, Ordering::Relaxed);
-                busy_total.fetch_add(elapsed_ns(t_chunk), Ordering::Relaxed);
-                local.into_neighbors()
-            },
-        );
-        let mut merged: Vec<Neighbor> = partials.into_iter().flatten().collect();
-        merged.sort_by_key(|nb| (nb.dist, nb.id));
-        merged.truncate(k);
-        let mut stats = QueryStats {
-            database_size: n,
-            edr_computed: computed.load(Ordering::Relaxed),
-            dp_cells: cells_total.load(Ordering::Relaxed),
-            ..Default::default()
-        };
-        // Summed across workers, so it can exceed the query's wall time.
-        stats.timings.refine_ns = busy_total.load(Ordering::Relaxed);
-        KnnResult {
-            neighbors: merged,
-            stats,
-        }
-    }
-
-    /// The shared-work batched scan behind [`KnnEngine::knn_batch`]: one
-    /// dataset traversal feeds every query. Workers claim candidate
-    /// chunks; for each candidate the columnar arena block is loaded once
-    /// and the inner loop runs over the batch's SoA query contexts. With
-    /// early abandoning each query's cutoff is the minimum of its shared
-    /// cross-worker bound and the worker's local k-th best. Per-query
-    /// merges follow the `knn_parallel` argument, so distances equal the
-    /// per-query scan's exactly (ids may permute on EA-dropped ties).
-    fn knn_batch_scan(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult> {
-        let t_batch = Instant::now();
-        let nq = queries.len();
-        let n = self.dataset.len();
-        let batch = BatchContext::new(queries, self.eps);
-        let setup_ns = elapsed_ns(t_batch);
+        let setup_ns = elapsed_ns(t_start);
         let threads = trajsim_parallel::num_threads().min(n.max(1));
         let chunk_len = n.div_ceil(threads * 4).max(k).max(1);
         let max_pair = self.arena.max_len().max(batch.max_query_len());
@@ -283,9 +219,9 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             },
         );
         let busy_total: u64 = chunks.iter().map(|c| c.busy_ns).sum();
-        let wall_ns = elapsed_ns(t_batch);
+        let wall_ns = elapsed_ns(t_start);
         let name = self.name();
-        let batch_id = next_batch_id();
+        let batch_id = batched.then(next_batch_id);
         let results: Vec<KnnResult> = (0..nq)
             .map(|qi| {
                 let mut stats = QueryStats {
@@ -300,18 +236,13 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
                 stats.timings.refine_ns = amortize(busy_total, nq, qi);
                 stats.timings.total_ns = amortize(wall_ns, nq, qi);
                 let neighbors = merge_partials(k, chunks.iter().map(|c| c.partials[qi].clone()));
-                finish_query(
-                    &name,
-                    queries[qi].len(),
-                    k,
-                    Some(batch_id),
-                    &neighbors,
-                    &stats,
-                );
+                finish_query(&name, batch.ctx(qi).len(), k, batch_id, &neighbors, &stats);
                 KnnResult { neighbors, stats }
             })
             .collect();
-        finish_batch(&name, nq, n as u64, wall_ns);
+        if batched {
+            finish_batch(&name, nq, n as u64, wall_ns);
+        }
         results
     }
 }
@@ -337,9 +268,11 @@ impl<const D: usize> KnnEngine<D> for SequentialScan<'_, D> {
         Self: Sync,
     {
         if queries.len() <= 1 {
-            return trajsim_parallel::par_map(queries, |_, q| self.knn(q, k));
+            return queries.iter().map(|q| self.knn(q, k)).collect();
         }
-        self.knn_batch_scan(queries, k)
+        let t_start = Instant::now();
+        let batch = BatchContext::new(queries, self.eps);
+        self.scan(&batch, k, t_start, true)
     }
 }
 

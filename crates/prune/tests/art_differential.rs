@@ -60,6 +60,7 @@ fn configs() -> Vec<CombinedConfig> {
             histogram: HistogramVariant::Grid { delta: 2 },
             qgram_q: 1,
             max_triangle: 16,
+            exact_histogram: true,
         },
     ]
 }

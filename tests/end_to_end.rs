@@ -73,6 +73,7 @@ fn every_engine_agrees_with_sequential_scan() {
                 histogram: HistogramVariant::Grid { delta: 2 },
                 qgram_q: 2,
                 max_triangle: 10,
+                exact_histogram: true,
             },
         )),
     ];
